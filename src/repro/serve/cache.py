@@ -8,9 +8,11 @@ Two cache families live here, layered at different depths of the serve stack:
   every path shares the empty prefix at the first column, early columns have
   tiny domains, and concurrent queries over the same table walk overlapping
   regions.  :class:`CachedConditionalModel` exploits this by memoising
-  per-prefix distributions in an LRU map keyed on
-  ``(column, prefix_codes_bytes)``, so repeated prefixes inside a micro-batch
-  and across micro-batches hit memory instead of re-running the network.
+  per-prefix distributions — in an LRU map keyed on
+  ``(column, prefix_codes_bytes)``, or, for the deduplicating sampler's
+  packed prefixes, in the vectorized :class:`PackedConditionalCache` — so
+  repeated prefixes inside a micro-batch and across micro-batches hit memory
+  instead of re-running the network.
 
   The wrapper implements the same protocol as
   :class:`repro.core.made.AutoregressiveModel` (``conditional_probs``,
@@ -137,26 +139,80 @@ class ConditionalProbCache:
         self.epoch = int(epoch)
 
 
+class _ColumnArena:
+    """One column of a :class:`PackedConditionalCache`.
+
+    Distributions live in an append-only row ``arena`` (grown by doubling),
+    each row stamped with the insertion batch that brought it in.  A sorted
+    int64 ``keys`` array with an aligned ``slots`` array indexes it, so an
+    insert splices only the two 8-byte-per-entry index arrays — never the
+    ``(entries, domain)`` rows.  Rows are appended in stamp order and
+    compaction keeps that order, so the rows older than any stamp are always
+    a prefix of the arena.
+    """
+
+    __slots__ = ("keys", "slots", "arena", "stamps", "used")
+
+    def __init__(self, domain: int, dtype: np.dtype) -> None:
+        self.keys = np.empty(0, dtype=np.int64)
+        self.slots = np.empty(0, dtype=np.int64)
+        self.arena = np.empty((0, domain), dtype=dtype)
+        self.stamps = np.empty(0, dtype=np.int64)
+        self.used = 0
+
+    def append(self, rows: np.ndarray, stamp: int) -> int:
+        """Copy ``rows`` to the end of the arena; returns the first slot."""
+        first, count = self.used, rows.shape[0]
+        if first + count > self.arena.shape[0]:
+            self._reallocate(0, max(first + count, 2 * self.arena.shape[0]))
+        self.arena[first:first + count] = rows
+        self.stamps[first:first + count] = stamp
+        self.used = first + count
+        return first
+
+    def drop_oldest(self, count: int) -> None:
+        """Evict the ``count`` oldest rows and compact the survivors."""
+        keep = self.slots >= count
+        self.keys = self.keys[keep]
+        self.slots = self.slots[keep] - count
+        # Capacity stays within twice the live rows, so a sweep releases the
+        # memory of what it evicted without forcing the next append to regrow.
+        live = self.used - count
+        self._reallocate(count, min(self.arena.shape[0], 2 * live))
+
+    def _reallocate(self, start: int, capacity: int) -> None:
+        """Move rows ``start:used`` to the front of a fresh ``capacity``-row arena."""
+        live = self.used - start
+        arena = np.empty((capacity,) + self.arena.shape[1:], dtype=self.arena.dtype)
+        arena[:live] = self.arena[start:self.used]
+        stamps = np.empty(capacity, dtype=np.int64)
+        stamps[:live] = self.stamps[start:self.used]
+        self.arena, self.stamps, self.used = arena, stamps, live
+
+
 class PackedConditionalCache:
     """Vectorized conditional store keyed on packed prefix codes.
 
     The deduplicating progressive sampler hands the serving layer batches
     that are already one row per *distinct* prefix, with every prefix
     packable into a single int64 (mixed-radix over the visible columns).
-    This store exploits that shape: per column it keeps a sorted int64 key
-    array with an aligned ``(entries, domain)`` value matrix, so a
-    thousand-row lookup is one :func:`numpy.searchsorted` and a bulk insert
-    is one merge-and-argsort — a handful of C calls where the
-    :class:`ConditionalProbCache` pays a Python dict dance per row.  On the
-    serving hot path that bookkeeping, not the model, was the dominant cost.
+    This store exploits that shape: per column it appends distributions to
+    an arena of rows and indexes them with a sorted int64 key array plus an
+    aligned slot array, so a thousand-row lookup is one
+    :func:`numpy.searchsorted` and one gather, and a bulk insert appends the
+    rows and splices only the two index arrays — a handful of C calls where
+    the :class:`ConditionalProbCache` pays a Python dict dance per row.  On
+    the serving hot path that bookkeeping, not the model, was the dominant
+    cost.
 
     Capacity is generational, not LRU: once the total number of stored
-    distributions exceeds ``max_entries``, entries older than the median
-    insertion batch are dropped in one vectorized sweep.  True LRU would
-    reintroduce per-row bookkeeping on every hit, which is exactly the cost
-    this store exists to avoid; dropping the older half approximates it well
-    for workloads whose hot prefixes recur (they are re-inserted on the next
-    miss).
+    distributions exceeds ``max_entries``, entries no newer than the median
+    insertion batch are dropped in one vectorized sweep (each arena compacts
+    in one copy).  True LRU would reintroduce per-row bookkeeping on every
+    hit, which is exactly the cost this store exists to avoid; dropping the
+    older half approximates it well for workloads whose hot prefixes recur
+    (they are re-inserted on the next miss).  The sweep never drops the batch
+    just inserted unless that batch alone exceeds ``max_entries``.
 
     Parameters
     ----------
@@ -173,13 +229,11 @@ class PackedConditionalCache:
         #: Data epoch the cached distributions were computed at (see
         #: :meth:`invalidate`).
         self.epoch: int = 0
-        self._keys: dict[int, np.ndarray] = {}
-        self._values: dict[int, np.ndarray] = {}
-        self._stamps: dict[int, np.ndarray] = {}
+        self._columns: dict[int, _ColumnArena] = {}
         self._clock = 0
 
     def __len__(self) -> int:
-        return sum(keys.size for keys in self._keys.values())
+        return sum(store.used for store in self._columns.values())
 
     def bulk_get(self, column: int, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Look up an array of packed prefixes of one column at once.
@@ -188,10 +242,11 @@ class PackedConditionalCache:
         ``packed`` and ``values`` holds the cached distributions of the found
         keys in order (``None`` when nothing was found).
         """
-        keys = self._keys.get(column)
-        if keys is None or keys.size == 0:
+        store = self._columns.get(column)
+        if store is None:
             self.stats.misses += packed.size
             return np.zeros(packed.size, dtype=bool), None
+        keys = store.keys
         positions = np.searchsorted(keys, packed)
         positions[positions == keys.size] = 0  # out-of-range probes can't match
         found = keys[positions] == packed
@@ -200,7 +255,7 @@ class PackedConditionalCache:
         self.stats.misses += packed.size - hits
         if hits == 0:
             return found, None
-        return found, self._values[column][positions[found]]
+        return found, store.arena[store.slots[positions[found]]]
 
     def bulk_put(self, column: int, packed: np.ndarray,
                  distributions: np.ndarray) -> None:
@@ -212,49 +267,53 @@ class PackedConditionalCache:
         """
         if self.max_entries == 0 or packed.size == 0:
             return
-        stamps = np.full(packed.size, self._clock, dtype=np.int64)
+        distributions = np.asarray(distributions)
+        store = self._columns.get(column)
+        if store is None:
+            store = self._columns[column] = _ColumnArena(distributions.shape[1],
+                                                         distributions.dtype)
+        # The arena copies the rows — the cache never aliases caller memory.
+        first = store.append(distributions, self._clock)
         self._clock += 1
-        keys = self._keys.get(column)
-        if keys is None:
-            order = np.argsort(packed, kind="stable")
-            self._keys[column] = packed[order]
-            # Fancy indexing copies — the cache never aliases caller memory.
-            self._values[column] = np.asarray(distributions)[order]
-            self._stamps[column] = stamps
-        else:
-            # Sorted-merge by insertion: the store is already sorted, so the
-            # new keys' slots come from one binary search and the splice is a
-            # C-level memmove — no re-sort of the whole column.
-            order = np.argsort(packed, kind="stable")
-            sorted_new = packed[order]
-            positions = np.searchsorted(keys, sorted_new)
-            self._keys[column] = np.insert(keys, positions, sorted_new)
-            self._values[column] = np.insert(self._values[column], positions,
-                                             np.asarray(distributions)[order],
-                                             axis=0)
-            self._stamps[column] = np.insert(self._stamps[column], positions,
-                                             stamps)
+        order = np.argsort(packed, kind="stable")
+        sorted_new = packed[order]
+        positions = np.searchsorted(store.keys, sorted_new)
+        store.keys = np.insert(store.keys, positions, sorted_new)
+        store.slots = np.insert(store.slots, positions, first + order)
         while len(self) > self.max_entries:
             self._evict_old()
 
     def _evict_old(self) -> None:
-        """Drop entries older than the median insertion batch, every column."""
-        cutoff = np.median(np.concatenate(list(self._stamps.values())))
-        for column in list(self._keys):
-            keep = self._stamps[column] > cutoff
-            dropped = int(keep.size - np.count_nonzero(keep))
+        """Drop entries no newer than the median insertion batch, every column.
+
+        The cutoff stays below the newest batch, so a put that brings in more
+        than half of the stored entries does not wipe itself out; only when
+        the newest batch alone exceeds ``max_entries`` is it dropped too.
+        Every sweep drops at least one entry, so the caller's loop ends.
+        """
+        stamps = np.concatenate([store.stamps[:store.used]
+                                 for store in self._columns.values()])
+        newest = self._clock - 1
+        cutoff = min(float(np.median(stamps)), newest - 1)
+        if stamps.min() > cutoff:
+            cutoff = newest
+        for column, store in list(self._columns.items()):
+            dropped = int(np.searchsorted(store.stamps[:store.used], cutoff,
+                                          side="right"))
             if dropped == 0:
                 continue
             self.stats.evictions += dropped
-            self._keys[column] = self._keys[column][keep]
-            self._values[column] = self._values[column][keep]
-            self._stamps[column] = self._stamps[column][keep]
+            if dropped == store.used:
+                del self._columns[column]
+            else:
+                store.drop_oldest(dropped)
 
     def clear(self) -> None:
-        """Drop every cached distribution (counters are left untouched)."""
-        self._keys.clear()
-        self._values.clear()
-        self._stamps.clear()
+        """Drop every cached distribution and release the arenas.
+
+        Counters are left untouched.
+        """
+        self._columns.clear()
 
     def invalidate(self, epoch: int) -> None:
         """Atomically drop every entry and stamp the cache with a new epoch.
@@ -277,8 +336,12 @@ class CachedConditionalModel:
     only inputs ``conditional_probs`` may depend on, see the batch contract on
     :meth:`repro.core.made.AutoregressiveModel.conditional_probs` — (2)
     deduplicates the projected prefixes, (3) serves known prefixes from the
-    LRU cache and (4) evaluates the model once on the representative rows of
-    the unknown prefixes, caching their distributions for later batches.
+    cache and (4) evaluates the model once on the representative rows of the
+    unknown prefixes, caching their distributions for later batches.  With
+    ``assume_unique`` and a :class:`PackedConditionalCache` (the default
+    store in that mode) steps (2)–(4) are vectorized: the rows are keyed by
+    their packed prefixes, looked up with one ``bulk_get``, and the misses
+    are evaluated and stored with one ``bulk_put`` — no per-row Python.
 
     Consulting the map costs a Python-level lookup per *distinct* prefix, so
     for batches whose prefixes are almost all distinct (late columns of wide
@@ -291,8 +354,9 @@ class CachedConditionalModel:
     model:
         Any model implementing the autoregressive protocol.
     cache:
-        Shared :class:`ConditionalProbCache`; a private one is created from
-        ``max_entries`` when omitted.
+        Shared :class:`ConditionalProbCache` (or, with ``assume_unique``,
+        :class:`PackedConditionalCache`); a private one is created from
+        ``max_entries`` when omitted — packed when ``assume_unique`` is set.
     max_entries:
         Capacity of the private cache when ``cache`` is not supplied.
     bypass_fraction:
@@ -309,7 +373,7 @@ class CachedConditionalModel:
         contract of the prefix-deduplicating progressive sampler
         (:class:`repro.core.progressive.ProgressiveSampler` with ``dedup``
         on).  The wrapper then skips its own deduplication pass and always
-        consults the LRU map (``bypass_fraction`` is ignored: with all-unique
+        consults the cache (``bypass_fraction`` is ignored: with all-unique
         batches the distinct fraction is always 1, which would otherwise
         bypass the map and destroy warm-cache reuse across micro-batches).
     """

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import NaruConfig
 from repro.data import make_users
@@ -283,6 +285,28 @@ class TestPackedConditionalCache:
         found, _ = cache.bulk_get(0, newest)
         assert found.all()
 
+    def test_oversized_put_does_not_wipe_out_the_store(self):
+        cache = PackedConditionalCache(max_entries=8)
+        older = np.arange(3, dtype=np.int64)
+        newest = np.arange(10, 16, dtype=np.int64)
+        cache.bulk_put(0, older, self._distributions(older))
+        cache.bulk_put(0, newest, self._distributions(newest))
+        # The newest batch holds more than half the entries, so the median
+        # stamp is its own; it still fits the budget and must survive.
+        assert len(cache) == 6
+        assert cache.stats.evictions == 3
+        found, values = cache.bulk_get(0, newest)
+        assert found.all()
+        np.testing.assert_array_equal(values[:, 0], newest.astype(float))
+
+    def test_batch_larger_than_budget_terminates(self):
+        cache = PackedConditionalCache(max_entries=4)
+        keys = np.arange(10, dtype=np.int64)
+        cache.bulk_put(0, keys[:2], self._distributions(keys[:2]))
+        cache.bulk_put(1, keys, self._distributions(keys))
+        assert len(cache) == 0
+        assert cache.stats.evictions == 12
+
     def test_zero_capacity_disables_storage(self):
         cache = PackedConditionalCache(max_entries=0)
         keys = np.array([1, 2], dtype=np.int64)
@@ -328,6 +352,144 @@ class TestPackedConditionalCache:
             assert np.array_equal(cold, expected)
             assert np.array_equal(warm, expected)
         assert wrapped.stats.hits > 0
+
+
+class _ReferenceGenerationalStore:
+    """Plain-dict model of PackedConditionalCache's generational policy."""
+
+    def __init__(self, max_entries: int) -> None:
+        self.max_entries = max_entries
+        self.entries: dict[int, dict[int, tuple[np.ndarray, int]]] = {}
+        self.clock = 0
+        self.hits = self.misses = self.evictions = 0
+
+    def __len__(self) -> int:
+        return sum(len(column) for column in self.entries.values())
+
+    def get(self, column, keys):
+        stored = self.entries.get(column, {})
+        found = np.array([int(key) in stored for key in keys], dtype=bool)
+        self.hits += int(found.sum())
+        self.misses += int((~found).sum())
+        rows = [stored[int(key)][0] for key in keys if int(key) in stored]
+        return found, (np.stack(rows) if rows else None)
+
+    def put(self, column, keys, rows):
+        if self.max_entries == 0 or len(keys) == 0:
+            return
+        stored = self.entries.setdefault(column, {})
+        for key, row in zip(keys, rows):
+            stored[int(key)] = (row.copy(), self.clock)
+        self.clock += 1
+        while len(self) > self.max_entries:
+            stamps = [stamp for entries in self.entries.values()
+                      for _, stamp in entries.values()]
+            newest = self.clock - 1
+            cutoff = min(float(np.median(stamps)), newest - 1)
+            if min(stamps) > cutoff:
+                cutoff = newest
+            for entries in self.entries.values():
+                for key in [key for key, (_, stamp) in entries.items()
+                            if stamp <= cutoff]:
+                    del entries[key]
+                    self.evictions += 1
+
+    def clear(self):
+        self.entries.clear()
+
+
+_DOMAINS = (2, 3, 5)
+
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, len(_DOMAINS) - 1),
+                  st.lists(st.integers(0, 40), max_size=12)),
+        st.tuples(st.just("get"), st.integers(0, len(_DOMAINS) - 1),
+                  st.lists(st.integers(0, 40), max_size=12)),
+        st.tuples(st.just("invalidate"), st.just(0), st.just([]))),
+    max_size=40)
+
+
+def _arena_rows(cache: PackedConditionalCache) -> int:
+    """Distribution rows allocated across every column's arena."""
+    return sum(store.arena.shape[0] for store in cache._columns.values())
+
+
+class TestPackedCacheAgainstReference:
+    """Random put/get/invalidate interleavings against a plain-dict model."""
+
+    @given(max_entries=st.integers(0, 16), operations=_OPERATIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_store(self, max_entries, operations):
+        cache = PackedConditionalCache(max_entries=max_entries)
+        reference = _ReferenceGenerationalStore(max_entries)
+        serial = 0
+        for kind, column, keys in operations:
+            if kind == "invalidate":
+                cache.invalidate(cache.epoch + 1)
+                reference.clear()
+            elif kind == "get":
+                probe = np.array(keys, dtype=np.int64)
+                found, values = cache.bulk_get(column, probe)
+                expected_found, expected_values = reference.get(column, probe)
+                assert np.array_equal(found, expected_found)
+                if expected_values is None:
+                    assert values is None
+                else:
+                    assert np.array_equal(values, expected_values)
+            else:
+                # The wrapper's contract: only distinct keys that just missed.
+                stored = reference.entries.get(column, {})
+                fresh = np.array(sorted({key for key in keys if key not in stored},
+                                        key=keys.index), dtype=np.int64)
+                # A row unique to this (put, key), so a survivor that came
+                # back with another key's row after a compaction is caught.
+                rows = (serial * 1000.0 + fresh[:, None] * 10.0
+                        + np.arange(_DOMAINS[column]))
+                serial += 1
+                cache.bulk_put(column, fresh, rows)
+                reference.put(column, fresh, rows)
+            assert len(cache) == len(reference)
+            assert (cache.stats.hits, cache.stats.misses, cache.stats.evictions) == (
+                reference.hits, reference.misses, reference.evictions)
+        for column in range(len(_DOMAINS)):
+            every_key = np.arange(41, dtype=np.int64)
+            found, values = cache.bulk_get(column, every_key)
+            expected_found, expected_values = reference.get(column, every_key)
+            assert np.array_equal(found, expected_found)
+            assert (values is None) == (expected_values is None)
+            if values is not None:
+                assert np.array_equal(values, expected_values)
+
+
+class TestPackedCacheArenaMemory:
+    def test_capacity_bounded_under_sustained_puts(self):
+        max_entries = 64
+        cache = PackedConditionalCache(max_entries=max_entries)
+        rng = np.random.default_rng(0)
+        next_key = 0
+        for _ in range(400):
+            column = int(rng.integers(3))
+            size = int(rng.integers(1, max_entries // 2))
+            keys = np.arange(next_key, next_key + size, dtype=np.int64)
+            next_key += size
+            cache.bulk_put(column, keys, np.ones((size, 7)))
+            assert len(cache) <= max_entries
+            assert _arena_rows(cache) <= 2 * max_entries
+        assert cache.stats.evictions > 0
+
+    def test_clear_and_invalidate_release_the_arenas(self):
+        cache = PackedConditionalCache(max_entries=32)
+        keys = np.arange(8, dtype=np.int64)
+        for column in range(3):
+            cache.bulk_put(column, keys, np.ones((8, 5)))
+        assert _arena_rows(cache) >= 24
+        cache.clear()
+        assert _arena_rows(cache) == 0 and not cache._columns
+        for column in range(3):
+            cache.bulk_put(column, keys, np.ones((8, 5)))
+        cache.invalidate(1)
+        assert _arena_rows(cache) == 0 and not cache._columns
 
 
 @pytest.fixture(scope="module")
